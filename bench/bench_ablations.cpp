@@ -1,5 +1,6 @@
-// Ablations called out in DESIGN.md §7: meta-model choice, prompt optimizer,
-// query count, prompt ensembling.
+// Ablations of the detector's design choices: prompt optimizer, raw query
+// features in the meta-feature set, prompt ensembling, query count, and
+// black-box vs white-box shadow prompts.
 #include "common.hpp"
 int main() {
   using namespace bench;

@@ -19,13 +19,13 @@
 // overhead), not inspection quality, so the fit only needs to be real
 // enough to exercise the full inspect path.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,48 +55,43 @@ core::ExperimentScale micro_scale() {
   return s;
 }
 
+/// Nearest-rank percentile of an ascending vector: its ceil(p·n)-th
+/// smallest element.  The tolerance keeps a product that is mathematically
+/// an integer but lands a hair above it in floating point on its rank.
 double percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(sorted.size()) - 1e-9));
+  return sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1];
 }
 
 void write_report(std::size_t batches, std::size_t batch_size,
                   double wall_seconds, double throughput,
                   const std::vector<double>& sorted_ms,
                   const api::EngineStats& stats) {
-  const char* dir = std::getenv("BPROM_BENCH_JSON_DIR");
-  const std::string path =
-      std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
-      "/BENCH_serve.json";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"serve\",\n"
-      << "  \"threads\": " << util::default_pool().size() << ",\n"
-      << "  \"batches\": " << batches << ",\n"
-      << "  \"batch_size\": " << batch_size << ",\n"
-      << "  \"requests\": " << batches * batch_size << ",\n"
-      << "  \"wall_seconds\": " << wall_seconds << ",\n"
-      << "  \"throughput_rps\": " << throughput << ",\n"
-      << "  \"latency_ms\": {\"p50\": " << percentile(sorted_ms, 0.50)
-      << ", \"p95\": " << percentile(sorted_ms, 0.95)
-      << ", \"p99\": " << percentile(sorted_ms, 0.99) << "},\n"
-      << "  \"stages\": [";
-  for (std::size_t s = 0; s < util::kProfileStages; ++s) {
-    const auto stage = static_cast<util::ProfileStage>(s);
-    const util::ProfileStageStats& st = stats.profile[stage];
-    out << (s == 0 ? "" : ",") << "\n    {\"stage\": \""
-        << util::profile_stage_name(stage) << "\", \"count\": " << st.count
-        << ", \"avg\": " << st.avg() << ", \"min\": " << st.min
-        << ", \"max\": " << st.max << ", \"p50\": " << st.p50
-        << ", \"p95\": " << st.p95 << ", \"p99\": " << st.p99 << "}";
-  }
-  out << "\n  ]\n}\n";
-  std::printf("bench report: %s\n", path.c_str());
+  bench::write_bench_json("serve", [&](std::ostream& out) {
+    out << "{\n  \"bench\": \"serve\",\n"
+        << "  \"threads\": " << util::default_pool().size() << ",\n"
+        << "  \"batches\": " << batches << ",\n"
+        << "  \"batch_size\": " << batch_size << ",\n"
+        << "  \"requests\": " << batches * batch_size << ",\n"
+        << "  \"wall_seconds\": " << wall_seconds << ",\n"
+        << "  \"throughput_rps\": " << throughput << ",\n"
+        << "  \"latency_ms\": {\"p50\": " << percentile(sorted_ms, 0.50)
+        << ", \"p95\": " << percentile(sorted_ms, 0.95)
+        << ", \"p99\": " << percentile(sorted_ms, 0.99) << "},\n"
+        << "  \"stages\": [";
+    for (std::size_t s = 0; s < util::kProfileStages; ++s) {
+      const auto stage = static_cast<util::ProfileStage>(s);
+      const util::ProfileStageStats& st = stats.profile[stage];
+      out << (s == 0 ? "" : ",") << "\n    {\"stage\": \""
+          << util::profile_stage_name(stage) << "\", \"count\": "
+          << st.count << ", \"avg\": " << st.avg() << ", \"min\": "
+          << st.min << ", \"max\": " << st.max << ", \"p50\": " << st.p50
+          << ", \"p95\": " << st.p95 << ", \"p99\": " << st.p99 << "}";
+    }
+    out << "\n  ]\n}\n";
+  });
 }
 
 /// --socket mode: concurrent connections against the epoll front end.
@@ -215,12 +210,7 @@ int run_socket_mode(api::AuditEngine& engine,
               percentile(latency_ms, 0.50), percentile(latency_ms, 0.95),
               percentile(latency_ms, 0.99));
 
-  const char* dir = std::getenv("BPROM_BENCH_JSON_DIR");
-  const std::string path =
-      std::string(dir != nullptr && *dir != '\0' ? dir : ".") +
-      "/BENCH_net.json";
-  std::ofstream out(path, std::ios::trunc);
-  if (out) {
+  bench::write_bench_json("net", [&](std::ostream& out) {
     out << "{\n  \"bench\": \"net\",\n"
         << "  \"threads\": " << util::default_pool().size() << ",\n"
         << "  \"clients\": " << clients << ",\n"
@@ -244,10 +234,7 @@ int run_socket_mode(api::AuditEngine& engine,
         << ",\n"
         << "  \"bytes_received\": " << counters.bytes_received << ",\n"
         << "  \"bytes_sent\": " << counters.bytes_sent << "\n}\n";
-    std::printf("bench report: %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-  }
+  });
 
   // The acceptance bar: overload degrades into typed rejection, nothing
   // fails untyped, and admitted work still completes.

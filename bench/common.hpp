@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,11 +168,30 @@ inline void print_elapsed(const util::Stopwatch& clock, const char* what) {
   std::printf("[%7.1fs] %s\n", clock.seconds(), what);
 }
 
+/// Drop `BENCH_<id>.json` into $BPROM_BENCH_JSON_DIR (default cwd), its
+/// contents streamed by `body(std::ostream&)`.  Best-effort by design: a
+/// read-only working directory must not turn a finished bench run into a
+/// failure, so an unwritable path only warns.
+template <typename Body>
+void write_bench_json(const std::string& id, Body&& body) {
+  const char* dir = std::getenv("BPROM_BENCH_JSON_DIR");
+  const std::string path =
+      std::string(dir != nullptr && *dir != '\0' ? dir : ".") + "/BENCH_" +
+      id + ".json";
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    return;
+  }
+  body(out);
+  std::printf("bench report: %s\n", path.c_str());
+}
+
 /// Machine-readable bench telemetry: write() drops one `BENCH_<id>.json`
-/// (into $BPROM_BENCH_JSON_DIR, default cwd) with per-cell and whole-run
-/// wall-clock plus the thread count, so the perf trajectory of every table
-/// is tracked from PR 4 on.  Reproduced numbers stay in the printed
-/// tables — this file is timing telemetry only.
+/// (see write_bench_json) with per-cell and whole-run wall-clock plus the
+/// thread count, so the perf trajectory of every table is tracked.
+/// Reproduced numbers stay in the printed tables — this file is timing
+/// telemetry only.
 class BenchReport {
  public:
   explicit BenchReport(std::string id) : id_(std::move(id)) {}
@@ -195,29 +215,19 @@ class BenchReport {
     }
   }
 
-  /// Best-effort by design: a read-only working directory must not turn a
-  /// finished bench run into a failure.
   void write() const {
-    const char* dir = std::getenv("BPROM_BENCH_JSON_DIR");
-    const std::string path =
-        std::string(dir != nullptr && *dir != '\0' ? dir : ".") + "/BENCH_" +
-        id_ + ".json";
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-      return;
-    }
-    out << "{\n  \"bench\": \"" << escape(id_) << "\",\n"
-        << "  \"threads\": " << util::default_pool().size() << ",\n"
-        << "  \"wall_seconds\": " << wall_.seconds() << ",\n"
-        << "  \"cells\": [";
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      out << (i == 0 ? "" : ",") << "\n    {\"id\": \""
-          << escape(cells_[i].first) << "\", \"seconds\": "
-          << cells_[i].second << "}";
-    }
-    out << (cells_.empty() ? "" : "\n  ") << "]\n}\n";
-    std::printf("bench report: %s\n", path.c_str());
+    write_bench_json(id_, [&](std::ostream& out) {
+      out << "{\n  \"bench\": \"" << escape(id_) << "\",\n"
+          << "  \"threads\": " << util::default_pool().size() << ",\n"
+          << "  \"wall_seconds\": " << wall_.seconds() << ",\n"
+          << "  \"cells\": [";
+      for (std::size_t i = 0; i < cells_.size(); ++i) {
+        out << (i == 0 ? "" : ",") << "\n    {\"id\": \""
+            << escape(cells_[i].first) << "\", \"seconds\": "
+            << cells_[i].second << "}";
+      }
+      out << (cells_.empty() ? "" : "\n  ") << "]\n}\n";
+    });
   }
 
  private:

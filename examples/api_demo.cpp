@@ -6,14 +6,14 @@
 //      (resolves to @v2) — an async batched audit with futures,
 //   4. audit the same batch against the pinned "market@v1": superseded
 //      versions keep serving exactly as before the rollover,
-//   5. diff both batches against the pre-refactor path (the internal
-//      serve::AuditService driving the very same detector handles):
-//      verdicts AND query counts must be byte-identical,
+//   5. audit each batch a second time in the other mode — the bare name
+//      against a sync call pinned to "market@v2", the pinned "market@v1"
+//      against an async call: verdicts AND query counts must be
+//      byte-identical, whichever completion path carried them,
 //   6. exit nonzero on any non-OK Status or any mismatch — the CI gate.
 //
 // Run under BPROM_THREADS=1 and 8: output (timing stripped) is identical.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "api/engine.hpp"
 #include "core/experiment.hpp"
 #include "data/ops.hpp"
-#include "serve/audit_service.hpp"
 
 namespace {
 
@@ -126,38 +125,20 @@ int main() {
   const auto via_v2 = audit_via("market", /*async=*/true);
   const auto via_v1 = audit_via("market@v1", /*async=*/false);
 
-  // --- 5: the pre-refactor path on the same detector handles. -----------
-  const auto legacy_via = [&](const std::string& detector_ref) {
-    auto handle = engine.detector(detector_ref);
-    if (!handle.ok()) {
-      std::printf("FAIL: %s: %s\n", detector_ref.c_str(),
-                  handle.status().to_string().c_str());
-      std::exit(1);
-    }
-    std::vector<nn::BlackBoxAdapter> boxes;
-    boxes.reserve(marketplace.size());
-    for (auto& listing : marketplace) boxes.emplace_back(*listing.model);
-    std::vector<serve::AuditRequest> batch(marketplace.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].model_id = "listing-" + std::to_string(i);
-      batch[i].model = &boxes[i];
-    }
-    // Same seed (the engine default is the service's historical 97), same
-    // batch order, same handle: the pre-refactor surface, bit for bit.
-    return serve::AuditService(handle.value()).audit(batch);
-  };
-  const auto legacy_v2 = legacy_via("market@v2");
-  const auto legacy_v1 = legacy_via("market@v1");
+  // --- 5: every batch again, in the other mode. --------------------------
+  const auto cross_v2 = audit_via("market@v2", /*async=*/false);
+  const auto cross_v1 = audit_via("market@v1", /*async=*/true);
 
   std::printf("\n%-10s %-10s %-10s %-8s %-7s %-6s %s\n", "id", "detector",
               "score", "verdict", "queries", "match", "time");
   bool all_ok = true;
   const auto check = [&](const std::vector<api::AuditResponse>& got,
-                         const std::vector<serve::AuditResponse>& want,
+                         const std::vector<api::AuditResponse>& want,
                          const char* expect_version) {
     for (std::size_t i = 0; i < got.size(); ++i) {
-      const bool ok = got[i].status.ok() && want[i].ok &&
+      const bool ok = got[i].status.ok() && want[i].status.ok() &&
                       got[i].detector_version == expect_version &&
+                      want[i].detector_version == expect_version &&
                       same_verdict(got[i].verdict, want[i].verdict);
       all_ok = all_ok && ok;
       std::printf("%-10s %-10s %-10.6f %-8s %-7zu %-6s %.1fms\n",
@@ -168,8 +149,8 @@ int main() {
                   got[i].seconds * 1e3);
     }
   };
-  check(via_v2, legacy_v2, "market@v2");
-  check(via_v1, legacy_v1, "market@v1");
+  check(via_v2, cross_v2, "market@v2");
+  check(via_v1, cross_v1, "market@v1");
 
   const auto stats = engine.stats();
   std::printf("\nengine stats: %llu requests, %llu verdicts, %llu queries, "
@@ -180,10 +161,10 @@ int main() {
               (unsigned long long)stats.rollovers);
   std::printf("Ground truth: listings 0-1 clean; 2-3 backdoored.\n");
   if (!all_ok) {
-    std::printf("FAIL: façade responses differ from the pre-refactor path\n");
+    std::printf("FAIL: async and sync audits of the same batch differ\n");
     return 1;
   }
-  std::printf("OK: fit->publish->rollover->async audit matches the "
-              "pre-refactor path bit-for-bit\n");
+  std::printf("OK: fit->publish->rollover->async audit matches the sync "
+              "path bit-for-bit\n");
   return 0;
 }

@@ -8,7 +8,7 @@
 // This example refits the detector in-process every run.  For the
 // long-lived deployment — fit once, persist, and serve batched audits
 // across process restarts — see examples/serve_audit.cpp, which drives the
-// same marketplace through serve::DetectorStore + serve::AuditService.
+// same marketplace through api::AuditEngine.
 #include <cstdio>
 #include "core/experiment.hpp"
 #include "defenses/evaluate.hpp"

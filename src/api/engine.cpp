@@ -4,8 +4,8 @@
 #include <exception>
 #include <utility>
 
-#include "serve/audit_service.hpp"
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace bprom::api {
@@ -26,6 +26,29 @@ Status validate_name(const std::string& name) {
                                   "' must not contain path separators");
   }
   return Status::Ok();
+}
+
+/// Per-request inspection salts, split off sequentially from `seed`: the
+/// salt a request sees is a function of (seed, batch index) only, never of
+/// thread scheduling.
+std::vector<std::uint64_t> split_request_salts(std::uint64_t seed,
+                                               std::size_t n) {
+  util::Rng root(seed);
+  std::vector<std::uint64_t> salts(n);
+  for (std::size_t i = 0; i < n; ++i) salts[i] = root.split(i + 1).next_u64();
+  return salts;
+}
+
+/// Responses for a batch that died exceptionally as a whole: every request
+/// fails kInternal, model_id echoed, so the completion still fires once.
+std::vector<AuditResponse> failed_batch(const std::vector<AuditRequest>& batch,
+                                        const std::string& what) {
+  std::vector<AuditResponse> responses(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    responses[i].model_id = batch[i].model_id;
+    responses[i].status = Status::Internal(what);
+  }
+  return responses;
 }
 
 }  // namespace
@@ -70,7 +93,7 @@ AuditEngine::AuditEngine(EngineConfig config)
 AuditEngine::~AuditEngine() {
   // Drain-on-destruct: closing the ring stops new submissions; workers pop
   // whatever is still queued (pop_wait only reports closed once the ring is
-  // empty), fulfill every promise, and exit.  After the joins no thread can
+  // empty), complete every batch, and exit.  After the joins no thread can
   // touch this engine again.
   async_ring_.close();
   for (auto& worker : serve_workers_) worker.join();
@@ -84,48 +107,30 @@ void AuditEngine::serve_loop() {
         static_cast<std::uint64_t>(job.submitted.seconds() * 1e9));
     profiler_.record_value(util::ProfileStage::kQueueDepth,
                            async_ring_.size());
-    std::vector<AuditResponse> responses;
-    bool completed = true;
-    try {
-      // Scoped so the sample is recorded BEFORE the completion wakes the
-      // batch's owner — a stats() right after future.get() (or inside the
-      // callback) must already see this batch.
-      util::ScopedProfile batch_timer(&profiler_, util::ProfileStage::kBatch);
-      responses = audit_from(job.batch, job.submitted);
-    } catch (...) {
-      // audit_from reports per-request failures in-band; this catches the
-      // truly exceptional (bad_alloc in the response vector).  The
-      // completion must still wake the batch's owner.
-      completed = false;
-      if (job.callback) {
-        // Callback completions have no exception channel: synthesize
-        // per-request kInternal responses so the callback still fires once.
-        std::string what = "batch failed exceptionally";
-        try {
-          throw;
-        } catch (const std::exception& e) {
-          what = e.what();
-        } catch (...) {
-        }
-        responses.resize(job.batch.size());
-        for (std::size_t i = 0; i < job.batch.size(); ++i) {
-          responses[i].model_id = job.batch[i].model_id;
-          responses[i].status = Status::Internal(what);
-        }
-        completed = true;
-      } else {
-        job.done.set_exception(std::current_exception());
-      }
-    }
-    if (completed) {
-      if (job.callback) {
-        job.callback(std::move(responses));
-      } else {
-        job.done.set_value(std::move(responses));
-      }
-    }
+    complete(job);
     job = AsyncJob{};  // release request references before the next wait
   }
+}
+
+void AuditEngine::complete(AsyncJob& job) {
+  std::vector<AuditResponse> responses;
+  {
+    // Scoped so the sample is recorded BEFORE the completion wakes the
+    // batch's owner — a stats() right after future.get() (or inside the
+    // callback) must already see this batch.
+    util::ScopedProfile batch_timer(&profiler_, util::ProfileStage::kBatch);
+    // audit_from reports per-request failures in-band; these catch the
+    // truly exceptional (bad_alloc in the response vector).  Completions
+    // have no exception channel, so the batch comes back as kInternal.
+    try {
+      responses = audit_from(job.batch, job.submitted);
+    } catch (const std::exception& e) {
+      responses = failed_batch(job.batch, e.what());
+    } catch (...) {
+      responses = failed_batch(job.batch, "batch failed exceptionally");
+    }
+  }
+  job.done(std::move(responses));
 }
 
 std::uint32_t AuditEngine::latest_floor_locked(const std::string& base) const {
@@ -412,11 +417,11 @@ std::vector<AuditResponse> AuditEngine::audit_from(
     }
   }
 
-  // The shared serve-layer derivation: the salt — and therefore the
-  // verdict — is a function of (engine seed, batch index) only, so batches
-  // are bit-identical across thread counts AND across the two surfaces.
+  // The salt — and therefore the verdict — is a function of (engine seed,
+  // batch index) only, so batches are bit-identical across thread counts
+  // and across the sync and async calls.
   const std::vector<std::uint64_t> salts =
-      serve::split_request_salts(config_.seed, n);
+      split_request_salts(config_.seed, n);
 
   util::parallel_for(n, [&](std::size_t i) {
     const AuditRequest& request = batch[i];
@@ -505,30 +510,29 @@ std::vector<AuditResponse> AuditEngine::audit_from(
 
 std::future<std::vector<AuditResponse>> AuditEngine::audit_async(
     std::vector<AuditRequest> batch) {
-  AsyncJob job;
-  // Deadlines are measured from submission, so the clock starts here
-  // (AsyncJob's Stopwatch starts on construction): time a batch spends
-  // queued in the ring counts against it.
-  job.batch = std::move(batch);
-  auto future = job.done.get_future();
-  if (!async_ring_.push_wait(std::move(job))) {
-    // The ring only refuses when it is closed — the engine is being torn
-    // down under us.  Run the batch inline so the future is still
-    // fulfilled; push_wait left `job` untouched on failure.
-    job.done.set_value(audit_from(job.batch, job.submitted));
-  }
+  // std::function needs a copyable callable and a promise is move-only, so
+  // the callback shares ownership of it.
+  auto done = std::make_shared<std::promise<std::vector<AuditResponse>>>();
+  auto future = done->get_future();
+  audit_async(std::move(batch), [done](std::vector<AuditResponse> responses) {
+    done->set_value(std::move(responses));
+  });
   return future;
 }
 
 void AuditEngine::audit_async(std::vector<AuditRequest> batch,
                               AuditCallback on_done) {
+  // Deadlines are measured from submission, so the clock starts here
+  // (AsyncJob's Stopwatch starts on construction): time a batch spends
+  // queued in the ring counts against it.
   AsyncJob job;
   job.batch = std::move(batch);
-  job.callback = std::move(on_done);
+  job.done = std::move(on_done);
   if (!async_ring_.push_wait(std::move(job))) {
-    // Ring closed (engine tearing down): complete inline so the callback
-    // still fires exactly once; push_wait left `job` untouched on failure.
-    job.callback(audit_from(job.batch, job.submitted));
+    // The ring only refuses when it is closed — the engine is being torn
+    // down under us.  Complete inline so the callback still fires exactly
+    // once; push_wait left `job` untouched on failure.
+    complete(job);
   }
 }
 

@@ -3,8 +3,8 @@
 // The paper's comparison tables mix regimes (that is how the original works
 // evaluate): input-level defenses get AUROC/F1 at separating triggered from
 // benign *inputs* on a given model, data-level defenses at separating poison
-// from clean *training samples*, and model-level methods (MM-BD, MNTD,
-// BPROM) at separating backdoored from clean *models*.  This header maps
+// from clean *training samples*, and model-level methods (MM-BD, BPROM) at
+// separating backdoored from clean *models*.  This header maps
 // each DefenseKind to its regime and produces comparable AUROC/F1 numbers.
 #pragma once
 

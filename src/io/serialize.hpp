@@ -32,14 +32,11 @@ vp::VisualPrompt load_prompt(Reader& reader);
 
 // Model / forest / detector chunk forms live as members (Model::save,
 // RandomForest::save, BpromDetector::save) because they touch private
-// state; the free functions below wrap them in standalone containers.
+// state; the free functions below wrap models and detectors in standalone
+// containers.
 
 void save_model_file(const std::string& path, nn::Model& model);
 std::unique_ptr<nn::Model> load_model_file(const std::string& path);
-
-void save_forest_file(const std::string& path,
-                      const meta::RandomForest& forest);
-meta::RandomForest load_forest_file(const std::string& path);
 
 void save_detector_file(const std::string& path,
                         const core::BpromDetector& detector);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <numbers>
 
 namespace bprom::util {
 
@@ -23,7 +25,17 @@ std::size_t bucket_of(std::uint64_t value) {
 double bucket_mid(std::size_t b) {
   if (b == 0) return 0.0;
   const double lo = static_cast<double>(std::uint64_t{1} << (b - 1));
-  return lo * 1.5;
+  return lo * std::numbers::sqrt2;
+}
+
+/// 0-based nearest rank of quantile q over n samples: ceil(q·n) − 1.  The
+/// product is binary floating point, so one that is mathematically an
+/// integer (0.95 · 20 = 19) can land a hair above it; the tolerance keeps
+/// ceil from skipping to the next rank.
+std::uint64_t nearest_rank(double q, std::uint64_t n) {
+  const auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(n) - 1e-9));
+  return std::clamp<std::uint64_t>(rank, 1, n) - 1;
 }
 
 }  // namespace
@@ -126,8 +138,7 @@ ProfilerSnapshot Profiler::snapshot() {
     stats.min = c.min;
     stats.max = c.max;
     const auto percentile = [&](double q) {
-      const auto rank = static_cast<std::uint64_t>(
-          q * static_cast<double>(c.count - 1));
+      const std::uint64_t rank = nearest_rank(q, c.count);
       std::uint64_t seen = 0;
       for (std::size_t b = 0; b < kBuckets; ++b) {
         seen += c.histogram[b];

@@ -47,8 +47,9 @@ inline constexpr std::size_t kProfileStages =
 const char* profile_stage_name(ProfileStage stage);
 
 /// Folded statistics of one stage.  Raw units: nanoseconds for timer
-/// stages, items for kQueueDepth.  Percentiles come from the log₂
-/// histogram and are exact to within their power-of-two bucket.
+/// stages, items for kQueueDepth.  Percentiles are nearest-rank over the
+/// log₂ histogram, reported at the bucket's geometric center clamped to
+/// [min, max], so they are exact to within their power-of-two bucket.
 struct ProfileStageStats {
   std::uint64_t count = 0;
   std::uint64_t min = 0;  ///< 0 when count == 0

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -80,6 +81,22 @@ class WrongClassBox final : public nn::BlackBoxModel {
     return nn::Tensor({images.dim(0), std::size_t{3}});
   }
   [[nodiscard]] std::size_t num_classes() const override { return 3; }
+  [[nodiscard]] nn::ImageShape input_shape() const override {
+    return {3, 16, 16};
+  }
+  [[nodiscard]] std::size_t query_count() const override { return 0; }
+};
+
+/// Throws from the class-count probe, which runs outside inspect()'s own
+/// exception handling — a stand-in for a batch that dies exceptionally.
+class ThrowingBox final : public nn::BlackBoxModel {
+ public:
+  nn::Tensor predict_proba(const nn::Tensor& images) const override {
+    return nn::Tensor({images.dim(0), std::size_t{10}});
+  }
+  [[nodiscard]] std::size_t num_classes() const override {
+    throw std::runtime_error("box exploded");
+  }
   [[nodiscard]] nn::ImageShape input_shape() const override {
     return {3, 16, 16};
   }
@@ -513,8 +530,9 @@ TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {
   ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
 
   // The ring hand-off must not perturb determinism: the same batch through
-  // audit() and audit_async() yields bit-identical verdicts (salts depend
-  // on batch index only, never on which worker popped the job).
+  // audit() and both audit_async() overloads — future and callback — yields
+  // bit-identical verdicts (salts depend on batch index only, never on
+  // which worker popped the job).
   nn::BlackBoxAdapter sync0(*fixture().suspicious.model);
   nn::BlackBoxAdapter sync1(*fixture().suspicious.model);
   const auto sync = engine.audit(
@@ -525,21 +543,50 @@ TEST(ApiEngine, AsyncVerdictsMatchSyncThroughTheRing) {
                          .audit_async({request_for("aud", &async0, "a"),
                                        request_for("aud", &async1, "b")})
                          .get();
+  nn::BlackBoxAdapter callback0(*fixture().suspicious.model);
+  nn::BlackBoxAdapter callback1(*fixture().suspicious.model);
+  std::promise<std::vector<api::AuditResponse>> delivered;
+  engine.audit_async({request_for("aud", &callback0, "a"),
+                      request_for("aud", &callback1, "b")},
+                     [&delivered](std::vector<api::AuditResponse> responses) {
+                       delivered.set_value(std::move(responses));
+                     });
+  const auto callback = delivered.get_future().get();
   ASSERT_EQ(async.size(), 2U);
+  ASSERT_EQ(callback.size(), 2U);
   for (std::size_t i = 0; i < 2; ++i) {
     ASSERT_TRUE(sync[i].status.ok());
     ASSERT_TRUE(async[i].status.ok());
+    ASSERT_TRUE(callback[i].status.ok());
+    EXPECT_EQ(callback[i].model_id, sync[i].model_id);
     EXPECT_EQ(async[i].verdict.score, sync[i].verdict.score);
     EXPECT_EQ(async[i].verdict.queries, sync[i].verdict.queries);
+    EXPECT_EQ(callback[i].verdict.score, sync[i].verdict.score);
+    EXPECT_EQ(callback[i].verdict.queries, sync[i].verdict.queries);
   }
 
   // The always-on profiler saw the traffic: queue wait + batch timing for
-  // the async batch, per-request and resolve samples for both.
+  // the async batches, per-request and resolve samples for all three.
   const auto stats = engine.stats();
-  EXPECT_GE(stats.profile[util::ProfileStage::kQueueWait].count, 1U);
-  EXPECT_GE(stats.profile[util::ProfileStage::kBatch].count, 1U);
-  EXPECT_GE(stats.profile[util::ProfileStage::kRequest].count, 4U);
+  EXPECT_GE(stats.profile[util::ProfileStage::kQueueWait].count, 2U);
+  EXPECT_GE(stats.profile[util::ProfileStage::kBatch].count, 2U);
+  EXPECT_GE(stats.profile[util::ProfileStage::kRequest].count, 6U);
   EXPECT_GT(stats.profile[util::ProfileStage::kRequest].max, 0U);
+}
+
+TEST(ApiEngine, AsyncFutureCarriesAnExceptionalBatchAsInternal) {
+  api::AuditEngine engine({.store_dir = fresh_dir("bprom_api_throwing")});
+  ASSERT_TRUE(engine.publish("aud", fixture().detector).ok());
+  ThrowingBox box;
+  // The future is a wrapper over the callback completion, so get() never
+  // throws: the batch comes back as per-request kInternal.
+  const auto responses =
+      engine.audit_async({request_for("aud", &box, "boom")}).get();
+  ASSERT_EQ(responses.size(), 1U);
+  EXPECT_EQ(responses[0].model_id, "boom");
+  EXPECT_EQ(responses[0].status.code(), api::StatusCode::kInternal);
+  EXPECT_NE(responses[0].status.message().find("box exploded"),
+            std::string::npos);
 }
 
 TEST(ApiEngine, DestructorDrainsQueuedAsyncBatches) {

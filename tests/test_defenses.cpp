@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 #include "core/experiment.hpp"
 #include "defenses/evaluate.hpp"
-#include "defenses/mntd.hpp"
 #include "defenses/model_level.hpp"
 namespace bprom {
 namespace {
@@ -124,26 +123,6 @@ TEST(Defenses, MmBdScoreIsFinite) {
   const double cln_score = defenses::mmbd_model_score(*f.cln.model);
   EXPECT_TRUE(std::isfinite(bd_score));
   EXPECT_TRUE(std::isfinite(cln_score));
-}
-
-TEST(Defenses, MntdFitsAndScores) {
-  auto& f = fixture();
-  util::Rng rng(36);
-  auto reserved = data::sample_fraction(f.src.test, 0.2, rng);
-  defenses::MntdConfig cfg;
-  cfg.clean_shadows = 3;
-  cfg.backdoor_shadows = 3;
-  cfg.shadow_train.epochs = 3;
-  defenses::MntdDetector mntd(cfg);
-  mntd.fit(reserved, 10);
-  nn::BlackBoxAdapter bd_box(*f.bd.model);
-  nn::BlackBoxAdapter cln_box(*f.cln.model);
-  const double sb = mntd.score(bd_box);
-  const double sc = mntd.score(cln_box);
-  EXPECT_GE(sb, 0.0);
-  EXPECT_LE(sb, 1.0);
-  EXPECT_GE(sc, 0.0);
-  EXPECT_LE(sc, 1.0);
 }
 
 }  // namespace

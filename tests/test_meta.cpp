@@ -1,6 +1,5 @@
-// Meta-classifier tests: CART tree, random forest, logistic regression.
+// Meta-classifier tests: CART tree and random forest.
 #include <gtest/gtest.h>
-#include "meta/logistic.hpp"
 #include "meta/random_forest.hpp"
 #include "util/rng.hpp"
 namespace bprom::meta {
@@ -87,30 +86,6 @@ TEST(RandomForest, DeterministicForSeed) {
   RandomForest b(cfg);
   b.fit(data.x, data.y);
   EXPECT_DOUBLE_EQ(a.predict_proba(data.x[0]), b.predict_proba(data.x[0]));
-}
-
-TEST(Logistic, FitsSeparableData) {
-  util::Rng rng(5);
-  auto data = separable(200, rng);
-  LogisticRegression lr;
-  lr.fit(data.x, data.y);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < data.x.size(); ++i) {
-    correct += lr.predict(data.x[i]) == data.y[i];
-  }
-  EXPECT_GT(correct, 190u);
-}
-
-TEST(Logistic, CannotSolveXorLinearly) {
-  util::Rng rng(6);
-  auto data = xor_data(300, rng);
-  LogisticRegression lr;
-  lr.fit(data.x, data.y);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < data.x.size(); ++i) {
-    correct += lr.predict(data.x[i]) == data.y[i];
-  }
-  EXPECT_LT(static_cast<double>(correct) / data.x.size(), 0.75);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "core/experiment.hpp"
 #include "io/binary.hpp"
 #include "nn/arch.hpp"
-#include "serve/audit_service.hpp"
 #include "serve/detector_store.hpp"
 #include "util/thread_pool.hpp"
 
@@ -198,8 +197,7 @@ TEST(DetectorStore, ConcurrentFirstGetConvergesOnOneHandle) {
   std::filesystem::remove_all(dir);
 }
 
-// Migrated onto the bprom::api façade (the old serve::AuditService is the
-// internal layer underneath it): batched verdicts must be bit-identical
+// Through the bprom::api façade: batched verdicts must be bit-identical
 // under 1- and 4-thread engine pools, the async path must match the sync
 // one, and a malformed request must fail typed without sinking the batch.
 TEST(AuditEngine, BatchVerdictsAreThreadCountInvariant) {

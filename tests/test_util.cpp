@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/env.hpp"
@@ -295,6 +297,45 @@ TEST(Profiler, PercentilesLandInTheRightBucket) {
   EXPECT_LE(s.p99, 1000000.0);
   EXPECT_GE(s.p95, s.p50);
   EXPECT_GE(s.p99, s.p95);
+}
+
+TEST(Profiler, PercentilesAreNearestRankForSmallCounts) {
+  // Samples at distinct powers of two sit one per log2 bucket, so the
+  // bucket of each reported percentile names exactly one sample: it must
+  // be the nearest-rank one, ceil(q·n) (1-based), for every n = 1..10.
+  // Away from min and max no clamping applies, and the reported value is
+  // the bucket's geometric center, sample·√2.
+  const auto bucket = [](double v) {
+    return std::bit_width(static_cast<std::uint64_t>(v));
+  };
+  for (std::uint64_t n = 1; n <= 10; ++n) {
+    Profiler profiler;
+    std::vector<std::uint64_t> samples;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+      samples.push_back(std::uint64_t{1} << (3 * i));
+    }
+    // Recorded in descending order so the histogram, not insertion order,
+    // has to produce the ranking.
+    for (auto it = samples.rbegin(); it != samples.rend(); ++it) {
+      profiler.record(ProfileStage::kInspect, *it);
+    }
+    const ProfilerSnapshot snap = profiler.snapshot();
+    const ProfileStageStats& s = snap[ProfileStage::kInspect];
+    ASSERT_EQ(s.count, n);
+    for (const auto& [q, got] :
+         {std::pair{0.50, s.p50}, std::pair{0.95, s.p95},
+          std::pair{0.99, s.p99}}) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(n) - 1e-9));
+      const std::uint64_t want = samples[rank - 1];
+      EXPECT_EQ(bucket(got), bucket(static_cast<double>(want)))
+          << "n=" << n << " q=" << q << " got " << got << " want " << want;
+      if (want != s.min && want != s.max) {
+        EXPECT_DOUBLE_EQ(got, static_cast<double>(want) * std::sqrt(2.0));
+      }
+    }
+    EXPECT_LE(s.p99, static_cast<double>(s.max));
+  }
 }
 
 TEST(Profiler, ConcurrentWritersLoseNoSamples) {
