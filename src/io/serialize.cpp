@@ -1,5 +1,7 @@
 #include "io/serialize.hpp"
 
+#include <stdexcept>
+
 #include "meta/decision_tree.hpp"
 #include "nn/arch.hpp"
 #include "util/rng.hpp"
@@ -272,6 +274,17 @@ std::unique_ptr<Model> Model::load(io::Reader& reader) {
   // overwrite every parameter and state buffer — the init Rng is dummy.
   util::Rng rng(0);
   auto model = make_model(arch, input, classes, rng);
+  // The declared input must give every conv in the chain an output
+  // (in + 2*pad >= kernel).  An empty batch of that shape walks the whole
+  // graph and checks each layer's geometry without computing anything.
+  try {
+    (void)model->logits(
+        tensor::Tensor({0, input.channels, input.height, input.width}));
+  } catch (const std::invalid_argument& e) {
+    throw io::IoError("model input " + std::to_string(input.height) + "x" +
+                      std::to_string(input.width) + " too small for " +
+                      arch_name(arch) + ": " + e.what());
+  }
   std::size_t expected = 0;
   for (auto* p : model->parameters()) expected += p->value.size();
   for (auto* s : model->state_buffers()) expected += s->size();

@@ -31,7 +31,7 @@ Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   Tensor h = conv1_.forward(x, train);
   h = bn1_.forward(h, train);
   h = relu1_.forward(h, train);
-  h = conv2_.forward(h, train);
+  h = conv2_.forward(std::move(h), train);
   h = bn2_.forward(h, train);
   Tensor skip =
       proj_ ? proj_bn_->forward(proj_->forward(x, train), train) : x;
@@ -94,7 +94,7 @@ Tensor DepthwiseSeparableBlock::forward(const Tensor& x, bool train) {
   Tensor h = dw_.forward(x, train);
   h = bn1_.forward(h, train);
   h = relu1_.forward(h, train);
-  h = pw_.forward(h, train);
+  h = pw_.forward(std::move(h), train);
   h = bn2_.forward(h, train);
   if (has_skip_) h.add(x);
   return relu_out_.forward(h, train);

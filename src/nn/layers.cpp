@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tensor/conv.hpp"
 #include "tensor/gemm.hpp"
 #include "util/thread_pool.hpp"
 
@@ -179,55 +180,38 @@ Conv2d::Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
       bias_(Tensor({out_c})) {}
 
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
-  assert(x.rank() == 4 && x.dim(1) == in_c_);
-  batch_ = x.dim(0);
-  geom_ = tensor::ConvGeometry{in_c_, x.dim(2), x.dim(3),
+  input_ = x;
+  return forward_saved();
+}
+
+Tensor Conv2d::forward(Tensor&& x, bool /*train*/) {
+  input_ = std::move(x);
+  return forward_saved();
+}
+
+Tensor Conv2d::forward_saved() {
+  assert(input_.rank() == 4 && input_.dim(1) == in_c_);
+  geom_ = tensor::ConvGeometry{in_c_, input_.dim(2), input_.dim(3),
                                kernel_, stride_, pad_};
-  // The im2col matrix is rebuilt into the persistent member buffer, so the
-  // steady-state forward reuses one allocation across calls.
-  tensor::im2col_into(x, geom_, cols_);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
-  const std::size_t hw = oh * ow;
-  const std::size_t patch = geom_.patch_size();
-  Tensor y({batch_, out_c_, oh, ow});
-  const float* w = weight_.value.data();
-  const float* b = bias_.value.data();
-  // Per sample: y_b = W . cols_b^T on top of the broadcast bias.  When the
-  // batch loop shards over the pool the per-sample GEMMs stay serial; a
-  // small batch lets one GEMM use the tile grid instead.  Both choices
-  // depend only on problem size, and the kernel arithmetic is identical
-  // either way, so results are bit-identical for any thread count.
-  const bool shard_batch =
-      batch_ > 1 && batch_ * hw * out_c_ * patch >= kParallelOps;
-  const auto sample = [&](std::size_t bi) {
-    float* yb = y.data() + bi * out_c_ * hw;
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      std::fill_n(yb + oc * hw, hw, b[oc]);
-    }
-    tensor::gemm(Trans::kNo, Trans::kYes, out_c_, hw, patch, w, patch,
-                 cols_.data() + bi * hw * patch, patch, yb, hw,
-                 /*accumulate=*/true, /*allow_parallel=*/!shard_batch);
-  };
-  if (shard_batch) {
-    util::parallel_for(batch_, sample);
-  } else {
-    for (std::size_t bi = 0; bi < batch_; ++bi) sample(bi);
-  }
-  return y;
+  packed_weight_.resize(tensor::conv2d_packed_weight_size(geom_, out_c_));
+  return tensor::conv2d_forward(input_, geom_, weight_.value.data(),
+                                bias_.value.data(), out_c_,
+                                packed_weight_.data());
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  const std::size_t batch = input_.dim(0);
   const std::size_t oh = geom_.out_h();
   const std::size_t ow = geom_.out_w();
   const std::size_t hw = oh * ow;
   const std::size_t patch = geom_.patch_size();
-  assert(grad_out.dim(0) == batch_ && grad_out.dim(1) == out_c_);
+  assert(grad_out.dim(0) == batch && grad_out.dim(1) == out_c_);
 
-  dcols_.resize({batch_ * hw, patch});
+  tensor::im2col_into(input_, geom_, cols_);
+  dcols_.resize({batch * hw, patch});
   const float* w = weight_.value.data();
-  const std::size_t ops = batch_ * hw * out_c_ * patch;
-  const bool shard_batch = batch_ >= 2 && ops >= kParallelOps;
+  const std::size_t ops = batch * hw * out_c_ * patch;
+  const bool shard_batch = batch >= 2 && ops >= kParallelOps;
 
   // Accumulate sample range [lo, hi): dcols patches are owned by the range
   // (dcols_b = G_b^T . W); dw/db accumulate into the supplied buffers
@@ -254,20 +238,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   };
 
   if (!shard_batch) {
-    accumulate(0, batch_, weight_.grad.data(), bias_.grad.data());
-    return tensor::col2im(dcols_, geom_, batch_);
+    accumulate(0, batch, weight_.grad.data(), bias_.grad.data());
+    return tensor::col2im(dcols_, geom_, batch);
   }
 
   // Batch-sharded with per-shard dw/db partials folded by the fixed-shape
   // pairwise tree — shard grid and tree depend only on the batch size, so
   // the result is bit-identical for any thread count.  Partial buffers are
   // persistent members: the steady state allocates nothing.
-  const std::size_t shards = std::min(batch_, kGradShards);
+  const std::size_t shards = std::min(batch, kGradShards);
   const std::size_t wlen = out_c_ * patch;
   dw_part_.assign(shards * wlen, 0.0F);
   db_part_.assign(shards * out_c_, 0.0F);
   util::parallel_for(shards, [&](std::size_t s) {
-    accumulate(shard_lo(s, shards, batch_), shard_lo(s + 1, shards, batch_),
+    accumulate(shard_lo(s, shards, batch), shard_lo(s + 1, shards, batch),
                dw_part_.data() + s * wlen, db_part_.data() + s * out_c_);
   });
   reduce_shards_tree(dw_part_.data(), shards, wlen);
@@ -276,7 +260,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   float* db = bias_.grad.data();
   for (std::size_t e = 0; e < wlen; ++e) dw[e] += dw_part_[e];
   for (std::size_t oc = 0; oc < out_c_; ++oc) db[oc] += db_part_[oc];
-  return tensor::col2im(dcols_, geom_, batch_);
+  return tensor::col2im(dcols_, geom_, batch);
 }
 
 // ------------------------------------------------------- DepthwiseConv2d
@@ -656,7 +640,9 @@ Tensor Flatten::forward(Tensor&& x, bool /*train*/) {
   // Shape-only: reshape the moved buffer — no copy of the activation.
   in_shape_ = x.shape();
   Tensor y = std::move(x);
-  y.reshape({in_shape_[0], y.size() / in_shape_[0]});
+  std::size_t features = 1;
+  for (std::size_t d = 1; d < in_shape_.size(); ++d) features *= in_shape_[d];
+  y.reshape({in_shape_[0], features});
   return y;
 }
 

@@ -45,6 +45,7 @@ class Conv2d final : public Layer {
          std::size_t stride, std::size_t pad, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor&& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -53,6 +54,9 @@ class Conv2d final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
  private:
+  /// The forward over input_, which both overloads have just set.
+  Tensor forward_saved();
+
   std::size_t in_c_;
   std::size_t out_c_;
   std::size_t kernel_;
@@ -61,12 +65,15 @@ class Conv2d final : public Layer {
   Parameter weight_;  // [out_c, in_c * k * k]
   Parameter bias_;    // [out_c]
   tensor::ConvGeometry geom_;
-  Tensor cols_;   // cached im2col of last forward (reused allocation)
+  // The last forward's input, kept on every forward: white-box prompt
+  // learning backprops after an eval-mode forward.
+  Tensor input_;
+  std::vector<float> packed_weight_;  // conv2d_forward's weight panel
+  Tensor cols_;   // im2col of input_, rebuilt by backward (reused allocation)
   Tensor dcols_;  // column-space gradient scratch (reused allocation)
   // Per-shard dw/db partials for the batch-sharded backward (see Linear).
   std::vector<float> dw_part_;
   std::vector<float> db_part_;
-  std::size_t batch_ = 0;
 };
 
 /// Per-channel (depthwise) convolution: one k x k filter per input channel.

@@ -2,46 +2,23 @@
 
 #include <algorithm>
 
+#include "tensor/gemm_kernel.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bprom::tensor {
 namespace {
 
+using detail::load;
+using detail::micro_kernel;
+using detail::nr_of;
+using detail::pack_a;
+
 // Below this many multiply-adds the pool dispatch overhead dominates and
 // the serial tile walk wins.  The gate depends only on problem size, and
 // serial vs parallel walks are bitwise identical anyway (disjoint tiles,
 // same per-tile arithmetic), so this is a pure scheduling choice.
 constexpr std::size_t kParallelMulAdds = std::size_t{1} << 21;
-
-template <typename T>
-constexpr std::size_t nr_of() {
-  return sizeof(T) == sizeof(float) ? kGemmNrF32 : kGemmNrF64;
-}
-
-template <typename T>
-T load(Trans t, const T* p, std::size_t ld, std::size_t row,
-       std::size_t col) {
-  return t == Trans::kNo ? p[row * ld + col] : p[col * ld + row];
-}
-
-/// Pack op_a(A)[i0 .. i0+mc, p0 .. p0+kc] as ceil(mc/MR) strips of
-/// [kc][MR], rows beyond mc padded with zeros so the micro-kernel always
-/// runs a full MR x NR tile (the pad contributes exact +0 terms to lanes
-/// that are never stored).
-template <typename T>
-void pack_a(Trans ta, const T* a, std::size_t lda, std::size_t i0,
-            std::size_t p0, std::size_t mc, std::size_t kc, T* out) {
-  constexpr std::size_t kMr = kGemmMr;
-  for (std::size_t ir = 0; ir < mc; ir += kMr) {
-    const std::size_t mr = std::min(kMr, mc - ir);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        *out++ = r < mr ? load(ta, a, lda, i0 + ir + r, p0 + p) : T(0);
-      }
-    }
-  }
-}
 
 /// Pack op_b(B)[p0 .. p0+kc, j0 .. j0+nc] as ceil(nc/NR) strips of
 /// [kc][NR], columns beyond nc padded with zeros.
@@ -55,43 +32,6 @@ void pack_b(Trans tb, const T* b, std::size_t ldb, std::size_t p0,
       for (std::size_t c = 0; c < kNr; ++c) {
         *out++ = c < nr ? load(tb, b, ldb, p0 + p, j0 + jr + c) : T(0);
       }
-    }
-  }
-}
-
-/// MR x NR register tile over one packed A strip ([kc][MR]) and one packed
-/// B strip ([kc][NR]).  The fixed-width accumulator array has independent
-/// lanes, so -O2/-O3 auto-vectorizes the NR loop without -ffast-math.
-/// Folds into C (callers zero the tile first when not accumulating).
-template <typename T>
-void micro_kernel(const T* __restrict pa, const T* __restrict pb,
-                  std::size_t kc, T* __restrict c, std::size_t ldc,
-                  std::size_t mr, std::size_t nr) {
-  constexpr std::size_t kMr = kGemmMr;
-  constexpr std::size_t kNr = nr_of<T>();
-  // Full unrolling turns acc[][] into distinct scalars the register
-  // allocator can keep in SIMD registers; without it the accumulators
-  // round-trip through the stack every k step.
-  T acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const T* __restrict ap = pa + p * kMr;
-    const T* __restrict bp = pb + p * kNr;
-#pragma GCC unroll 6
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const T av = ap[r];
-#pragma GCC unroll 32
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += av * bp[j];
-    }
-  }
-  if (mr == kMr && nr == kNr) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      T* __restrict cr = c + r * ldc;
-      for (std::size_t j = 0; j < kNr; ++j) cr[j] += acc[r][j];
-    }
-  } else {
-    for (std::size_t r = 0; r < mr; ++r) {
-      T* cr = c + r * ldc;
-      for (std::size_t j = 0; j < nr; ++j) cr[j] += acc[r][j];
     }
   }
 }

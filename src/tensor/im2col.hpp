@@ -15,6 +15,13 @@ struct ConvGeometry {
   std::size_t stride = 1;
   std::size_t pad = 1;
 
+  /// Whether the kernel fits the padded input at least once; out_h() and
+  /// out_w() underflow otherwise, so check this before calling them on a
+  /// shape that came from outside the program.
+  [[nodiscard]] bool valid() const {
+    return kernel > 0 && stride > 0 && in_h + 2 * pad >= kernel &&
+           in_w + 2 * pad >= kernel;
+  }
   [[nodiscard]] std::size_t out_h() const {
     return (in_h + 2 * pad - kernel) / stride + 1;
   }
@@ -31,8 +38,9 @@ struct ConvGeometry {
 Tensor im2col(const Tensor& input, const ConvGeometry& g);
 
 /// im2col into a caller-owned tensor, reusing its allocation when the
-/// capacity suffices — Conv2d keeps one such buffer per layer so the
-/// steady-state forward performs no heap allocation.
+/// capacity suffices.  Conv2d's forward does not lower through this (see
+/// tensor/conv.hpp); its backward rebuilds one such buffer per layer from
+/// the saved input, so only layers that backprop hold a column matrix.
 void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols);
 
 /// Inverse scatter-add of im2col; returns [N, C, H, W].  Allocates its

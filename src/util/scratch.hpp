@@ -12,9 +12,12 @@
 //     the caller waits, and that task may claim the same slot.  (GEMM
 //     packing obeys this: each macro-tile body packs, computes, and writes
 //     its output without ever re-entering the pool.)
-//   - State that must outlive a call or travel between threads (im2col
-//     matrices kept for backward, per-shard gradient partials reduced by the
-//     caller) belongs in per-layer member buffers, not in the arena.
+//   - State that must outlive a call or travel between threads (the packed
+//     weight panel every task of one conv2d_forward reads, the im2col
+//     matrix Conv2d's backward rebuilds from its saved input, per-shard
+//     gradient partials reduced by the caller) belongs in per-layer member
+//     buffers, not in the arena.  A conv task's own padded planes, offset
+//     tables and B strip are leaf-task state and do come from here.
 #pragma once
 
 #include <array>
@@ -30,7 +33,12 @@ class Scratch {
   /// macro-tile) must use distinct slots.
   enum Slot : std::size_t {
     kGemmPackA = 0,
+    /// GEMM B panel; also the [kc][NR] B strip of a conv2d_forward task.
     kGemmPackB,
+    /// One sample's zero-bordered input planes (tensor/conv.cpp).
+    kConvPadded,
+    /// Patch-row and output-column offset tables (tensor/conv.cpp).
+    kConvOffsets,
     /// Squashed border fill / additive perturbation field of one
     /// VisualPrompt::apply call (vp/prompt.cpp).
     kPromptField,

@@ -219,6 +219,32 @@ TEST(IoBinary, ModelFileRoundTripPreservesEvalLogits) {
   EXPECT_EQ(expected.vec(), actual.vec());
 }
 
+TEST(IoBinary, RejectsModelInputTooSmallForItsConvs) {
+  // SwinMini's two 2x2/stride-2/pad-0 convs need a 4x4 input; at 3x3 the
+  // second one would see a 1x1 plane.  Loading must refuse the file with a
+  // typed error instead of building a model that crashes on first query.
+  util::Rng rng(3);
+  auto tiny = nn::make_model(nn::ArchKind::kSwinMini, {3, 3, 3}, 10, rng);
+  const std::string path = temp_path("bprom_test_tiny_swin.bprom");
+  io::save_model_file(path, *tiny);
+  EXPECT_THROW(io::load_model_file(path), io::IoError);
+  std::remove(path.c_str());
+
+  // 4x4 is SwinMini's smallest input, and every other family accepts it.
+  for (const auto arch :
+       {nn::ArchKind::kResNet18Mini, nn::ArchKind::kMobileNetV2Mini,
+        nn::ArchKind::kMobileViTMini, nn::ArchKind::kSwinMini,
+        nn::ArchKind::kMlp}) {
+    auto smallest = nn::make_model(arch, {3, 4, 4}, 10, rng);
+    io::save_model_file(path, *smallest);
+    auto loaded = io::load_model_file(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded->predict_proba(nn::Tensor({2, 3, 4, 4})).shape(),
+              (std::vector<std::size_t>{2, 10}))
+        << nn::arch_name(arch);
+  }
+}
+
 TEST(IoBinary, RandomForestRoundTripPreservesScores) {
   util::Rng rng(11);
   std::vector<std::vector<float>> x;

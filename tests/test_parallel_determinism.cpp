@@ -146,6 +146,16 @@ TEST(ParallelDeterminism, BackwardGradientsMatchAcrossThreadCounts) {
       {32, 8, 16, 16});
   run_layer(
       [](util::Rng& rng) {
+        return std::make_unique<nn::Conv2d>(8, 16, 3, 2, 1, rng);
+      },
+      {32, 8, 16, 16});
+  run_layer(
+      [](util::Rng& rng) {
+        return std::make_unique<nn::Conv2d>(8, 16, 1, 2, 0, rng);
+      },
+      {96, 8, 32, 32});
+  run_layer(
+      [](util::Rng& rng) {
         return std::make_unique<nn::DepthwiseConv2d>(16, 3, 1, 1, rng);
       },
       {64, 16, 16, 16});

@@ -8,7 +8,10 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/conv.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
+#include "util/thread_pool.hpp"
 namespace bprom::nn {
 namespace {
 
@@ -55,6 +58,86 @@ TEST(Im2Col, Col2ImAdjoint) {
   double rhs = 0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * xt[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// Conv2d::forward packs its GEMM panels straight from the input; every
+// output must still equal im2col + gemm_reference with the bias prefilled
+// and accumulate=true, bit for bit, on 1 and 4 threads.
+void expect_conv_matches_im2col_gemm(std::size_t in_c, std::size_t in_h,
+                                     std::size_t in_w, std::size_t kernel,
+                                     std::size_t stride, std::size_t pad,
+                                     std::size_t out_c, std::size_t batch) {
+  util::Rng rng(in_c * 1000 + kernel * 100 + stride * 10 + pad + out_c);
+  Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
+  for (float& b : conv.parameters()[1]->value.vec()) {
+    b = static_cast<float>(rng.normal());
+  }
+  const Tensor x = Tensor::randn({batch, in_c, in_h, in_w}, rng);
+  const tensor::ConvGeometry g{in_c, in_h, in_w, kernel, stride, pad};
+  const std::size_t hw = g.out_h() * g.out_w();
+  const std::size_t patch = g.patch_size();
+  Tensor cols;
+  tensor::im2col_into(x, g, cols);
+  std::vector<float> want(batch * out_c * hw);
+  const float* w = conv.parameters()[0]->value.data();
+  const float* bias = conv.parameters()[1]->value.data();
+  for (std::size_t b = 0; b < batch; ++b) {
+    float* yb = want.data() + b * out_c * hw;
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+      std::fill_n(yb + oc * hw, hw, bias[oc]);
+    }
+    tensor::gemm_reference(tensor::Trans::kNo, tensor::Trans::kYes, out_c, hw,
+                           patch, w, patch, cols.data() + b * hw * patch,
+                           patch, yb, hw, /*accumulate=*/true);
+  }
+  for (const std::size_t threads : {1UL, 4UL}) {
+    util::ThreadPool pool(threads);
+    util::ScopedPoolOverride overridden(pool);
+    const Tensor y = conv.forward(x, /*train=*/false);
+    ASSERT_EQ(y.vec(), want)
+        << "in_c=" << in_c << " " << in_h << "x" << in_w << " k=" << kernel
+        << " s=" << stride << " p=" << pad << " out_c=" << out_c
+        << " batch=" << batch << " threads=" << threads;
+  }
+}
+
+TEST(Conv2d, PackedForwardMatchesIm2colGemmBitwise) {
+  // in_c 32 at 3x3 gives patch 288 > kGemmKc; the 9x7 input gives output
+  // planes whose size is not a multiple of NR; out_c 4/8/16/32 leave
+  // partial MR strips.  Each shape runs at batch 1 and at the smallest
+  // batch that crosses the parallel gate.
+  static_assert(32 * 3 * 3 > tensor::kGemmKc);
+  for (const std::size_t kernel : {1UL, 2UL, 3UL}) {
+    for (const std::size_t stride : {1UL, 2UL}) {
+      for (const std::size_t pad : {0UL, 1UL}) {
+        for (const std::size_t in_c : {3UL, 32UL}) {
+          for (const std::size_t out_c : {4UL, 8UL, 16UL, 32UL}) {
+            const tensor::ConvGeometry g{in_c, 9, 7, kernel, stride, pad};
+            const std::size_t ops =
+                g.out_h() * g.out_w() * out_c * g.patch_size();
+            const std::size_t parallel_batch =
+                tensor::kConvParallelOps / ops + 1;
+            for (const std::size_t batch : {1UL, parallel_batch}) {
+              expect_conv_matches_im2col_gemm(in_c, 9, 7, kernel, stride, pad,
+                                              out_c, batch);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Batch 1 above the gate: the sample splits into column blocks.
+  expect_conv_matches_im2col_gemm(32, 17, 15, 3, 1, 1, 32, 1);
+  expect_conv_matches_im2col_gemm(32, 33, 31, 3, 2, 0, 32, 1);
+}
+
+TEST(Conv2d, RejectsKernelLargerThanPaddedInput) {
+  util::Rng rng(5);
+  Conv2d conv(3, 4, 2, 2, 0, rng);
+  EXPECT_THROW(conv.forward(Tensor({1, 3, 1, 1}), false),
+               std::invalid_argument);
+  EXPECT_EQ(conv.forward(Tensor({1, 3, 2, 2}), false).shape(),
+            (std::vector<std::size_t>{1, 4, 1, 1}));
 }
 
 // Finite-difference gradient check through a whole model.
