@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "tensor/conv_source.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
@@ -55,26 +56,43 @@ void pack_strip(const float* src, const std::size_t* k_off,
   }
 }
 
-/// Copy one sample's planes into `out` with a zero border of `pad`.
-void pad_planes(const float* src, const ConvGeometry& g, float* out) {
+}  // namespace
+
+namespace detail {
+
+const float* conv_source(const float* sample, const ConvGeometry& g,
+                         std::size_t* k_off) {
+  const std::size_t ph = g.in_h + 2 * g.pad;
   const std::size_t pw = g.in_w + 2 * g.pad;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+        *k_off++ = (c * ph + ky) * pw + kx;
+      }
+    }
+  }
+  if (g.pad == 0) return sample;
+  float* padded = util::Scratch::tls().buffer<float>(
+      util::Scratch::kConvPadded, g.in_c * ph * pw);
   const std::size_t border = g.pad * pw;  // one plane's top (or bottom) rows
+  float* out = padded;
   for (std::size_t c = 0; c < g.in_c; ++c) {
     std::fill_n(out, border, 0.0F);
     out += border;
     for (std::size_t iy = 0; iy < g.in_h; ++iy) {
       std::fill_n(out, g.pad, 0.0F);
-      std::memcpy(out + g.pad, src, g.in_w * sizeof(float));
+      std::memcpy(out + g.pad, sample, g.in_w * sizeof(float));
       std::fill_n(out + g.pad + g.in_w, g.pad, 0.0F);
       out += pw;
-      src += g.in_w;
+      sample += g.in_w;
     }
     std::fill_n(out, border, 0.0F);
     out += border;
   }
+  return padded;
 }
 
-}  // namespace
+}  // namespace detail
 
 std::size_t conv2d_packed_weight_size(const ConvGeometry& g,
                                       std::size_t out_c) {
@@ -119,9 +137,6 @@ Tensor conv2d_forward(const Tensor& x, const ConvGeometry& g,
   const std::size_t block_strips = ceil_div(strips, blocks);
   blocks = ceil_div(strips, block_strips);
 
-  // Source geometry the offset tables index: the zero-bordered copy when
-  // pad > 0, the sample's own planes otherwise (pw == in_w then).
-  const std::size_t ph = g.in_h + 2 * g.pad;
   const std::size_t pw = g.in_w + 2 * g.pad;
   const std::size_t sample_in = g.in_c * g.in_h * g.in_w;
 
@@ -130,28 +145,14 @@ Tensor conv2d_forward(const Tensor& x, const ConvGeometry& g,
     const std::size_t j0 = (t % blocks) * block_strips * kNr;
     const std::size_t j1 = std::min(hw, j0 + block_strips * kNr);
     util::Scratch& scratch = util::Scratch::tls();
-    const float* src = x.data() + b * sample_in;
-    if (g.pad > 0) {
-      float* padded =
-          scratch.buffer<float>(util::Scratch::kConvPadded, g.in_c * ph * pw);
-      pad_planes(src, g, padded);
-      src = padded;
-    }
-    // Offset tables: patch row (c, ky, kx) -> its tap in the source, and
-    // output column (oy, ox) -> its window's top-left.  Window offsets
-    // strictly increase with j (pw >= ow), so a strip whose last offset is
-    // NR-1 past its first is one contiguous run.
+    // Offset tables: patch row -> its tap (conv_source), and output column
+    // (oy, ox) -> its window's top-left.  Window offsets strictly increase
+    // with j (pw >= ow), so a strip whose last offset is NR-1 past its
+    // first is one contiguous run.
     std::size_t* k_off = scratch.buffer<std::size_t>(
         util::Scratch::kConvOffsets, patch + (j1 - j0));
     std::size_t* j_off = k_off + patch;
-    std::size_t* k = k_off;
-    for (std::size_t c = 0; c < g.in_c; ++c) {
-      for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-        for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-          *k++ = (c * ph + ky) * pw + kx;
-        }
-      }
-    }
+    const float* src = detail::conv_source(x.data() + b * sample_in, g, k_off);
     for (std::size_t j = j0; j < j1; ++j) {
       j_off[j - j0] = (j / ow) * g.stride * pw + (j % ow) * g.stride;
     }

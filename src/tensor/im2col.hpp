@@ -38,9 +38,12 @@ struct ConvGeometry {
 Tensor im2col(const Tensor& input, const ConvGeometry& g);
 
 /// im2col into a caller-owned tensor, reusing its allocation when the
-/// capacity suffices.  Conv2d's forward does not lower through this (see
-/// tensor/conv.hpp); its backward rebuilds one such buffer per layer from
-/// the saved input, so only layers that backprop hold a column matrix.
+/// capacity suffices.  Reads each sample through the same zero-bordered
+/// copy and patch-offset table as the packed forward, so the inner loop
+/// has no bounds check.  Conv2d's forward does not lower through this
+/// (see tensor/conv.hpp); its backward rebuilds one such buffer per layer
+/// from the saved input, so only layers that backprop hold a column
+/// matrix.
 void im2col_into(const Tensor& input, const ConvGeometry& g, Tensor& cols);
 
 /// Inverse scatter-add of im2col; returns [N, C, H, W].  Allocates its

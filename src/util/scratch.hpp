@@ -17,7 +17,8 @@
 //     matrix Conv2d's backward rebuilds from its saved input, per-shard
 //     gradient partials reduced by the caller) belongs in per-layer member
 //     buffers, not in the arena.  A conv task's own padded planes, offset
-//     tables and B strip are leaf-task state and do come from here.
+//     tables and B strip, and im2col's per-sample padded planes and
+//     offsets, are leaf-task state and do come from here.
 #pragma once
 
 #include <array>
@@ -35,9 +36,11 @@ class Scratch {
     kGemmPackA = 0,
     /// GEMM B panel; also the [kc][NR] B strip of a conv2d_forward task.
     kGemmPackB,
-    /// One sample's zero-bordered input planes (tensor/conv.cpp).
+    /// One sample's zero-bordered input planes, shared by the packed conv
+    /// forward and im2col (tensor/conv_source.hpp).
     kConvPadded,
-    /// Patch-row and output-column offset tables (tensor/conv.cpp).
+    /// Patch-row (and, in the packed forward, output-column) offset tables
+    /// of the same two lowerings.
     kConvOffsets,
     /// Squashed border fill / additive perturbation field of one
     /// VisualPrompt::apply call (vp/prompt.cpp).
