@@ -11,7 +11,9 @@
 //   conv/<shape>/im2col_gemm_1t  seconds, im2col + per-sample GEMM, 1 thread
 //   conv/<shape>/packed_1t       seconds, tensor::conv2d_forward, 1 thread
 //   conv/<shape>/speedup_1t      im2col_gemm_1t / packed_1t ratio
-// The bench exits nonzero if the two conv lowerings disagree in any bit.
+// The first line printed names the kernel ISA gemm() and conv2d_forward()
+// dispatched to on this CPU (tensor::kernel_isa()).  The bench exits
+// nonzero if the two conv lowerings disagree in any bit.
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -153,6 +155,8 @@ bool bench_conv(const ConvShape& s, bench::BenchReport& report) {
 int main() {
   bench::BenchReport report("gemm");
   bprom::util::ThreadPool one(1);
+  std::printf("kernel isa: %s\n\n", bprom::tensor::kernel_isa_name(
+                                       bprom::tensor::kernel_isa()));
 
   std::printf("%-18s %10s %12s %12s %9s %9s\n", "shape", "naive_ms",
               "blocked1t_ms", "blocked_ms", "x1t", "xpool");

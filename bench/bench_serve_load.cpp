@@ -28,6 +28,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -145,8 +146,13 @@ int run_socket_mode(api::AuditEngine& engine,
         for (std::size_t r = 0; r < rounds; ++r) {
           std::vector<net::ClientAuditRequest> requests(burst);
           for (std::size_t i = 0; i < burst; ++i) {
-            requests[i].model_id = "c" + std::to_string(c) + "_r" +
-                                   std::to_string(r) + "_" + std::to_string(i);
+            // Built by appending to a new string, not `"c" + std::string`
+            // or assigning "c": gcc 12 inlines either into a false
+            // -Wrestrict.
+            std::string id = "c";
+            id += std::to_string(c) + "_r" + std::to_string(r) + "_" +
+                  std::to_string(i);
+            requests[i].model_id = std::move(id);
             requests[i].detector = "aud";
             requests[i].model = models[c].get();
           }
@@ -300,7 +306,9 @@ int main(int argc, char** argv) {
   for (std::size_t b = 0; b < batches; ++b) {
     std::vector<api::AuditRequest> batch(batch_size);
     for (std::size_t i = 0; i < batch_size; ++i) {
-      batch[i].model_id = "m" + std::to_string(b * batch_size + i);
+      std::string id = "m";  // appended: see run_socket_mode
+      id += std::to_string(b * batch_size + i);
+      batch[i].model_id = std::move(id);
       batch[i].detector = "aud";
       batch[i].model = boxes[b * batch_size + i].get();
     }

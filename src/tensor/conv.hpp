@@ -12,13 +12,15 @@
 // fold per KC panel in ascending order, each panel summed in ascending k
 // by the GEMM micro-kernel — exactly the sequence of im2col + gemm with the
 // bias prefilled and accumulate=true, so results are bit-identical to that
-// lowering for every shape.  The task grid (samples, plus column blocks of
-// one sample when the batch is too small to feed a pool) depends only on
-// the shape, never on the thread count.
+// lowering for every shape and either kernel width.  The task grid
+// (samples, plus column blocks of whole NR strips of one sample when the
+// batch is too small to feed a pool) depends only on the shape and the
+// detected kernel width, never on the thread count.
 #pragma once
 
 #include <cstddef>
 
+#include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 
@@ -43,5 +45,15 @@ inline constexpr std::size_t kConvParallelOps = std::size_t{1} << 21;
 Tensor conv2d_forward(const Tensor& x, const ConvGeometry& g,
                       const float* weight, const float* bias,
                       std::size_t out_c, float* packed_weight);
+
+namespace detail {
+
+/// conv2d_forward() on the `isa` kernel instead of the detected one, so
+/// tests can pin both widths.  `isa` must be one the CPU supports.
+Tensor conv2d_forward(KernelIsa isa, const Tensor& x, const ConvGeometry& g,
+                      const float* weight, const float* bias,
+                      std::size_t out_c, float* packed_weight);
+
+}  // namespace detail
 
 }  // namespace bprom::tensor

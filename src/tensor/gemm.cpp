@@ -11,7 +11,6 @@ namespace {
 
 using detail::load;
 using detail::micro_kernel;
-using detail::nr_of;
 using detail::pack_a;
 
 // Below this many multiply-adds the pool dispatch overhead dominates and
@@ -20,30 +19,90 @@ using detail::pack_a;
 // same per-tile arithmetic), so this is a pure scheduling choice.
 constexpr std::size_t kParallelMulAdds = std::size_t{1} << 21;
 
-/// Pack op_b(B)[p0 .. p0+kc, j0 .. j0+nc] as ceil(nc/NR) strips of
-/// [kc][NR], columns beyond nc padded with zeros.
-template <typename T>
-void pack_b(Trans tb, const T* b, std::size_t ldb, std::size_t p0,
-            std::size_t j0, std::size_t kc, std::size_t nc, T* out) {
-  constexpr std::size_t kNr = nr_of<T>();
-  for (std::size_t jr = 0; jr < nc; jr += kNr) {
-    const std::size_t nr = std::min(kNr, nc - jr);
+/// Pack op_b(B)[p0 .. p0+kc, j0 .. j0+nc] as ceil(nc/Nr) strips of
+/// [kc][Nr], columns beyond nc padded with zeros.
+template <typename T, std::size_t Nr>
+BPROM_KERNEL_INLINE void pack_b(Trans tb, const T* b, std::size_t ldb,
+                                std::size_t p0, std::size_t j0,
+                                std::size_t kc, std::size_t nc, T* out) {
+  for (std::size_t jr = 0; jr < nc; jr += Nr) {
+    const std::size_t nr = std::min(Nr, nc - jr);
     for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t c = 0; c < kNr; ++c) {
+      for (std::size_t c = 0; c < Nr; ++c) {
         *out++ = c < nr ? load(tb, b, ldb, p0 + p, j0 + jr + c) : T(0);
       }
     }
   }
 }
 
+/// One gemm() call: its operands and its macro-tile grid.
 template <typename T>
-void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
-               std::size_t k, const T* a, std::size_t lda, const T* b,
-               std::size_t ldb, T* c, std::size_t ldc, bool accumulate,
-               bool allow_parallel) {
+struct GemmCall {
+  Trans ta, tb;
+  std::size_t m, n, k;
+  const T* a;
+  std::size_t lda;
+  const T* b;
+  std::size_t ldb;
+  T* c;
+  std::size_t ldc;
+  bool accumulate;
+  std::size_t row_grain, col_tiles;
+};
+
+/// C macro-tile `idx`, computed start-to-finish by one task: zero (unless
+/// accumulating), then fold every KC panel in ascending order.
+template <typename T, std::size_t Nr>
+BPROM_KERNEL_INLINE void gemm_tile(const GemmCall<T>& g, std::size_t idx) {
+  constexpr std::size_t kMr = kGemmMr;
+  const std::size_t i0 = (idx / g.col_tiles) * g.row_grain;
+  const std::size_t j0 = (idx % g.col_tiles) * kGemmNc;
+  const std::size_t mc = std::min(g.row_grain, g.m - i0);
+  const std::size_t nc = std::min(kGemmNc, g.n - j0);
+  if (!g.accumulate) {
+    for (std::size_t r = 0; r < mc; ++r) {
+      std::fill_n(g.c + (i0 + r) * g.ldc + j0, nc, T(0));
+    }
+  }
+  if (g.k == 0) return;
+  util::Scratch& scratch = util::Scratch::tls();
+  T* pa = scratch.buffer<T>(util::Scratch::kGemmPackA, kGemmMc * kGemmKc);
+  T* pb = scratch.buffer<T>(util::Scratch::kGemmPackB, kGemmKc * kGemmNc);
+  for (std::size_t p0 = 0; p0 < g.k; p0 += kGemmKc) {
+    const std::size_t kc = std::min(kGemmKc, g.k - p0);
+    pack_a(g.ta, g.a, g.lda, i0, p0, mc, kc, pa);
+    pack_b<T, Nr>(g.tb, g.b, g.ldb, p0, j0, kc, nc, pb);
+    for (std::size_t jr = 0; jr < nc; jr += Nr) {
+      const std::size_t nr = std::min(Nr, nc - jr);
+      for (std::size_t ir = 0; ir < mc; ir += kMr) {
+        micro_kernel<T, Nr>(pa + (ir / kMr) * kc * kMr,
+                            pb + (jr / Nr) * kc * Nr, kc,
+                            g.c + (i0 + ir) * g.ldc + j0 + jr, g.ldc,
+                            std::min(kMr, mc - ir), nr);
+      }
+    }
+  }
+}
+
+// One leaf per kernel ISA: the only functions the tile code is compiled
+// into (gemm_kernel.hpp explains why the target sits here).
+template <typename T>
+void gemm_tile_sse2(const GemmCall<T>& g, std::size_t idx) {
+  gemm_tile<T, gemm_nr<T>(KernelIsa::kSse2)>(g, idx);
+}
+
+template <typename T>
+BPROM_KERNEL_AVX2 void gemm_tile_avx2(const GemmCall<T>& g, std::size_t idx) {
+  gemm_tile<T, gemm_nr<T>(KernelIsa::kAvx2)>(g, idx);
+}
+
+template <typename T>
+void gemm_impl(KernelIsa isa, Trans ta, Trans tb, std::size_t m,
+               std::size_t n, std::size_t k, const T* a, std::size_t lda,
+               const T* b, std::size_t ldb, T* c, std::size_t ldc,
+               bool accumulate, bool allow_parallel) {
   if (m == 0 || n == 0) return;
   constexpr std::size_t kMr = kGemmMr;
-  constexpr std::size_t kNr = nr_of<T>();
   const std::size_t col_tiles = (n + kGemmNc - 1) / kGemmNc;
 
   // Row grain: MC normally, but when a parallel-eligible problem is too
@@ -64,42 +123,27 @@ void gemm_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
   }
   const std::size_t row_tiles = (m + row_grain - 1) / row_grain;
 
-  // One C macro-tile, computed start-to-finish by one task: zero (unless
-  // accumulating), then fold every KC panel in ascending order.
-  const auto tile_task = [&](std::size_t idx) {
-    const std::size_t i0 = (idx / col_tiles) * row_grain;
-    const std::size_t j0 = (idx % col_tiles) * kGemmNc;
-    const std::size_t mc = std::min(row_grain, m - i0);
-    const std::size_t nc = std::min(kGemmNc, n - j0);
-    if (!accumulate) {
-      for (std::size_t r = 0; r < mc; ++r) {
-        std::fill_n(c + (i0 + r) * ldc + j0, nc, T(0));
-      }
-    }
-    if (k == 0) return;
-    util::Scratch& scratch = util::Scratch::tls();
-    T* pa = scratch.buffer<T>(util::Scratch::kGemmPackA, kGemmMc * kGemmKc);
-    T* pb = scratch.buffer<T>(util::Scratch::kGemmPackB, kGemmKc * kGemmNc);
-    for (std::size_t p0 = 0; p0 < k; p0 += kGemmKc) {
-      const std::size_t kc = std::min(kGemmKc, k - p0);
-      pack_a(ta, a, lda, i0, p0, mc, kc, pa);
-      pack_b(tb, b, ldb, p0, j0, kc, nc, pb);
-      for (std::size_t jr = 0; jr < nc; jr += kNr) {
-        const std::size_t nr = std::min(kNr, nc - jr);
-        for (std::size_t ir = 0; ir < mc; ir += kMr) {
-          micro_kernel(pa + (ir / kMr) * kc * kMr, pb + (jr / kNr) * kc * kNr,
-                       kc, c + (i0 + ir) * ldc + j0 + jr, ldc,
-                       std::min(kMr, mc - ir), nr);
-        }
-      }
-    }
-  };
-
+  const GemmCall<T> call{.ta = ta,
+                         .tb = tb,
+                         .m = m,
+                         .n = n,
+                         .k = k,
+                         .a = a,
+                         .lda = lda,
+                         .b = b,
+                         .ldb = ldb,
+                         .c = c,
+                         .ldc = ldc,
+                         .accumulate = accumulate,
+                         .row_grain = row_grain,
+                         .col_tiles = col_tiles};
+  const auto tile =
+      isa == KernelIsa::kAvx2 ? &gemm_tile_avx2<T> : &gemm_tile_sse2<T>;
   const std::size_t tiles = row_tiles * col_tiles;
   if (parallel && tiles > 1) {
-    util::parallel_for(tiles, tile_task);
+    util::parallel_for(tiles, [&](std::size_t t) { tile(call, t); });
   } else {
-    for (std::size_t t = 0; t < tiles; ++t) tile_task(t);
+    for (std::size_t t = 0; t < tiles; ++t) tile(call, t);
   }
 }
 
@@ -128,18 +172,33 @@ void gemm_reference_impl(Trans ta, Trans tb, std::size_t m, std::size_t n,
 
 }  // namespace
 
+KernelIsa kernel_isa() {
+  static const KernelIsa isa = [] {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) return KernelIsa::kAvx2;
+#endif
+    return KernelIsa::kSse2;
+  }();
+  return isa;
+}
+
+const char* kernel_isa_name(KernelIsa isa) {
+  return isa == KernelIsa::kAvx2 ? "avx2" : "sse2";
+}
+
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const float* a, std::size_t lda, const float* b, std::size_t ldb,
           float* c, std::size_t ldc, bool accumulate, bool allow_parallel) {
-  gemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
-            allow_parallel);
+  gemm_impl(kernel_isa(), ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
+            accumulate, allow_parallel);
 }
 
 void gemm(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
           const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, bool accumulate, bool allow_parallel) {
-  gemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
-            allow_parallel);
+  gemm_impl(kernel_isa(), ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
+            accumulate, allow_parallel);
 }
 
 void gemm_reference(Trans ta, Trans tb, std::size_t m, std::size_t n,
@@ -155,5 +214,25 @@ void gemm_reference(Trans ta, Trans tb, std::size_t m, std::size_t n,
                     std::size_t ldc, bool accumulate) {
   gemm_reference_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
 }
+
+namespace detail {
+
+void gemm(KernelIsa isa, Trans ta, Trans tb, std::size_t m, std::size_t n,
+          std::size_t k, const float* a, std::size_t lda, const float* b,
+          std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
+          bool allow_parallel) {
+  gemm_impl(isa, ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
+            allow_parallel);
+}
+
+void gemm(KernelIsa isa, Trans ta, Trans tb, std::size_t m, std::size_t n,
+          std::size_t k, const double* a, std::size_t lda, const double* b,
+          std::size_t ldb, double* c, std::size_t ldc, bool accumulate,
+          bool allow_parallel) {
+  gemm_impl(isa, ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate,
+            allow_parallel);
+}
+
+}  // namespace detail
 
 }  // namespace bprom::tensor

@@ -119,14 +119,17 @@ void Profiler::fold_and_reset(Epoch& epoch) {
 
 ProfilerSnapshot Profiler::snapshot() {
   MutexLock lock(reader_mu_);
-  // Flip, then fold the buffer writers just vacated.  Writers mid-record
-  // against the old index finish into the buffer we are folding — their
-  // relaxed RMWs and our relaxed exchanges interleave atomically, so every
-  // sample lands in exactly one fold.
+  // Flip, then fold both buffers: the one writers just vacated, and the
+  // new live one.  A writer can read live_ before one flip and land its
+  // RMWs after that flip's fold, leaving its sample in the buffer that is
+  // idle until the next flip; folding only the retired buffer would miss
+  // it here.  Each exchange is atomic against the writers' relaxed RMWs,
+  // so every sample still lands in exactly one fold.
   // relaxed: the flip needs no release — no writer reads anything the
   // reader wrote; readers serialize among themselves on reader_mu_.
   const std::uint32_t retired = live_.fetch_add(1, std::memory_order_relaxed);
   fold_and_reset(epochs_[retired & 1U]);
+  fold_and_reset(epochs_[(retired + 1) & 1U]);
 
   ProfilerSnapshot out;
   for (std::size_t s = 0; s < kProfileStages; ++s) {

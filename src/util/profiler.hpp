@@ -5,12 +5,11 @@
 // The discipline is that of a real-time engine's profiler: recording a
 // sample is a handful of relaxed atomic RMWs into the live epoch buffer —
 // no locks, no allocation, cheap enough to leave on in production.  A
-// reader (stats export, bench report) flips the epoch, folds the retired
-// buffer into a cumulative snapshot under its own mutex, and zeroes it for
+// reader (stats export, bench report) flips the epoch, folds both buffers
+// into a cumulative snapshot under its own mutex, and zeroes them for
 // reuse.  A writer that straddles the flip lands its sample in whichever
 // buffer its epoch read selected; the sample is never lost and never torn,
-// it is merely attributed to the neighboring epoch — the standard (and
-// harmless) slack of epoch-buffered telemetry.
+// and a snapshot taken after the writer returns always counts it.
 //
 // Stages are a fixed enum: the audit path records wall time for resolve /
 // inspect / whole-request / queue-wait, and instantaneous values (queue
@@ -87,8 +86,8 @@ class Profiler {
     record(stage, value);
   }
 
-  /// Cumulative statistics since construction: flips the epoch, folds the
-  /// retired buffer into the running totals, and returns them.  Readers
+  /// Cumulative statistics since construction: flips the epoch, folds both
+  /// buffers into the running totals, and returns them.  Readers
   /// serialize among themselves on an internal mutex; writers never touch
   /// it.
   ProfilerSnapshot snapshot();

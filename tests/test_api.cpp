@@ -602,8 +602,12 @@ TEST(ApiEngine, DestructorDrainsQueuedAsyncBatches) {
     for (int i = 0; i < 6; ++i) {
       boxes.push_back(std::make_unique<nn::BlackBoxAdapter>(
           *fixture().suspicious.model));
+      // Appended, not `"m" + std::to_string(i)`: gcc 12 inlines that
+      // operator+ into a false -Wrestrict.
+      std::string model_id = "m";
+      model_id += std::to_string(i);
       futures.push_back(engine.audit_async(
-          {request_for("aud", boxes.back().get(), "m" + std::to_string(i))}));
+          {request_for("aud", boxes.back().get(), model_id)}));
     }
   }  // ~AuditEngine: close ring, drain, join
   for (auto& future : futures) {

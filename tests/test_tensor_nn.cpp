@@ -2,6 +2,7 @@
 // differences, loss, optimizers, architecture factory, training convergence.
 #include <gtest/gtest.h>
 #include <cmath>
+#include <string>
 #include "nn/arch.hpp"
 #include "nn/blocks.hpp"
 #include "nn/attention.hpp"
@@ -62,11 +63,13 @@ TEST(Im2Col, Col2ImAdjoint) {
 
 // Conv2d::forward packs its GEMM panels straight from the input; every
 // output must still equal im2col + gemm_reference with the bias prefilled
-// and accumulate=true, bit for bit, on 1 and 4 threads.
-void expect_conv_matches_im2col_gemm(std::size_t in_c, std::size_t in_h,
-                                     std::size_t in_w, std::size_t kernel,
-                                     std::size_t stride, std::size_t pad,
-                                     std::size_t out_c, std::size_t batch) {
+// and accumulate=true, bit for bit, on 1 and 4 threads, on the `isa`
+// kernel (and through Conv2d::forward when that is the detected one).
+void expect_conv_matches_im2col_gemm(tensor::KernelIsa isa, std::size_t in_c,
+                                     std::size_t in_h, std::size_t in_w,
+                                     std::size_t kernel, std::size_t stride,
+                                     std::size_t pad, std::size_t out_c,
+                                     std::size_t batch) {
   util::Rng rng(in_c * 1000 + kernel * 100 + stride * 10 + pad + out_c);
   Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
   for (float& b : conv.parameters()[1]->value.vec()) {
@@ -90,23 +93,39 @@ void expect_conv_matches_im2col_gemm(std::size_t in_c, std::size_t in_h,
                            patch, w, patch, cols.data() + b * hw * patch,
                            patch, yb, hw, /*accumulate=*/true);
   }
+  std::vector<float> packed(tensor::conv2d_packed_weight_size(g, out_c));
   for (const std::size_t threads : {1UL, 4UL}) {
     util::ThreadPool pool(threads);
     util::ScopedPoolOverride overridden(pool);
-    const Tensor y = conv.forward(x, /*train=*/false);
+    const Tensor y = tensor::detail::conv2d_forward(isa, x, g, w, bias, out_c,
+                                                    packed.data());
     ASSERT_EQ(y.vec(), want)
         << "in_c=" << in_c << " " << in_h << "x" << in_w << " k=" << kernel
         << " s=" << stride << " p=" << pad << " out_c=" << out_c
         << " batch=" << batch << " threads=" << threads;
+    if (isa == tensor::kernel_isa()) {
+      ASSERT_EQ(conv.forward(x, /*train=*/false).vec(), want);
+    }
   }
 }
 
-TEST(Conv2d, PackedForwardMatchesIm2colGemmBitwise) {
+class Conv2dWidth : public ::testing::TestWithParam<tensor::KernelIsa> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == tensor::KernelIsa::kAvx2 &&
+        tensor::kernel_isa() != tensor::KernelIsa::kAvx2) {
+      GTEST_SKIP() << "CPU lacks AVX2";
+    }
+  }
+};
+
+TEST_P(Conv2dWidth, PackedForwardMatchesIm2colGemmBitwise) {
   // in_c 32 at 3x3 gives patch 288 > kGemmKc; the 9x7 input gives output
   // planes whose size is not a multiple of NR; out_c 4/8/16/32 leave
   // partial MR strips.  Each shape runs at batch 1 and at the smallest
   // batch that crosses the parallel gate.
   static_assert(32 * 3 * 3 > tensor::kGemmKc);
+  const tensor::KernelIsa isa = GetParam();
   for (const std::size_t kernel : {1UL, 2UL, 3UL}) {
     for (const std::size_t stride : {1UL, 2UL}) {
       for (const std::size_t pad : {0UL, 1UL}) {
@@ -118,8 +137,8 @@ TEST(Conv2d, PackedForwardMatchesIm2colGemmBitwise) {
             const std::size_t parallel_batch =
                 tensor::kConvParallelOps / ops + 1;
             for (const std::size_t batch : {1UL, parallel_batch}) {
-              expect_conv_matches_im2col_gemm(in_c, 9, 7, kernel, stride, pad,
-                                              out_c, batch);
+              expect_conv_matches_im2col_gemm(isa, in_c, 9, 7, kernel, stride,
+                                              pad, out_c, batch);
             }
           }
         }
@@ -127,9 +146,16 @@ TEST(Conv2d, PackedForwardMatchesIm2colGemmBitwise) {
     }
   }
   // Batch 1 above the gate: the sample splits into column blocks.
-  expect_conv_matches_im2col_gemm(32, 17, 15, 3, 1, 1, 32, 1);
-  expect_conv_matches_im2col_gemm(32, 33, 31, 3, 2, 0, 32, 1);
+  expect_conv_matches_im2col_gemm(isa, 32, 17, 15, 3, 1, 1, 32, 1);
+  expect_conv_matches_im2col_gemm(isa, 32, 33, 31, 3, 2, 0, 32, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothWidths, Conv2dWidth,
+    ::testing::Values(tensor::KernelIsa::kSse2, tensor::KernelIsa::kAvx2),
+    [](const ::testing::TestParamInfo<tensor::KernelIsa>& info) {
+      return std::string(tensor::kernel_isa_name(info.param));
+    });
 
 TEST(Conv2d, RejectsKernelLargerThanPaddedInput) {
   util::Rng rng(5);
